@@ -39,9 +39,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,58 +52,50 @@ import (
 	"fgp/internal/obs"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1, fig12, table2, table3, fig13, fig14, throughput, multipair, schedule, normalize, simd, queuelen, search, attribution, machspace, all)")
-	lats := flag.String("lat", "5,20,50,100", "comma-separated transfer latencies for fig13")
-	qlens := flag.String("qlen", "2,4,8,20,64", "comma-separated queue lengths for queuelen")
-	traceKernel := flag.String("trace-kernel", "sphot-1", "kernel for the attribution experiment")
-	traceCores := flag.String("trace-cores", "1,2,4", "comma-separated core counts for the attribution experiment")
-	traceOut := flag.String("trace-out", "", "write the attribution recording (highest core count) to this file")
-	traceFormat := flag.String("trace-format", "perfetto", "format for -trace-out: "+obs.TraceFormats)
-	msKernels := flag.String("ms-kernels", "umt2k-4,umt2k-2,lammps-2", "comma-separated kernels for the machspace sweep")
-	msTargets := flag.String("ms-targets", "1.5,2,3", "comma-separated inverse-query speedup targets for machspace")
-	searchBudget := flag.Int("search-budget", 48, "per-kernel candidate budget for the search experiment")
-	searchSeed := flag.Int64("search-seed", 1, "random seed for the search experiment")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
-	workers := flag.Int("workers", 0, "worker pool size for experiment sweeps (0 = one per CPU, 1 = serial)")
-	reference := flag.Bool("reference", false, "simulate on the reference per-instruction engine instead of the burst engine")
-	engine := flag.String("engine", "", "simulation engine for every run: burst (default), reference, or threaded")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// experiment is one named section of the evaluation.
+type experiment struct {
+	name string
+	f    func() (string, error)
+}
+
+// run executes the fgpexp command line and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("fgpexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "fgpexp:", err)
+		return 1
+	}
+	exp := fs.String("exp", "all", "experiment to run (table1, fig12, table2, table3, fig13, fig14, throughput, multipair, schedule, normalize, simd, queuelen, search, attribution, machspace, all)")
+	lats := fs.String("lat", "5,20,50,100", "comma-separated transfer latencies for fig13")
+	qlens := fs.String("qlen", "2,4,8,20,64", "comma-separated queue lengths for queuelen")
+	traceKernel := fs.String("trace-kernel", "sphot-1", "kernel for the attribution experiment")
+	traceCores := fs.String("trace-cores", "1,2,4", "comma-separated core counts for the attribution experiment")
+	traceOut := fs.String("trace-out", "", "write the attribution recording (highest core count) to this file")
+	traceFormat := fs.String("trace-format", "perfetto", "format for -trace-out: "+obs.TraceFormats)
+	msKernels := fs.String("ms-kernels", "umt2k-4,umt2k-2,lammps-2", "comma-separated kernels for the machspace sweep")
+	msTargets := fs.String("ms-targets", "1.5,2,3", "comma-separated inverse-query speedup targets for machspace")
+	searchBudget := fs.Int("search-budget", 48, "per-kernel candidate budget for the search experiment")
+	searchSeed := fs.Int64("search-seed", 1, "random seed for the search experiment")
+	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of text tables")
+	workers := fs.Int("workers", 0, "worker pool size for experiment sweeps (0 = one per CPU, 1 = serial)")
+	reference := fs.Bool("reference", false, "simulate on the reference per-instruction engine instead of the burst engine")
+	engine := fs.String("engine", "", "simulation engine for every run: burst (default), reference, or threaded")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	latencies, err := parseInt64s(*lats)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	lengths, err := parseInts(*qlens)
 	if err != nil {
-		fatal(err)
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // get up-to-date heap statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-		}()
+		return fail(err)
 	}
 
 	r := experiments.NewRunner()
@@ -111,17 +105,9 @@ func main() {
 		r.SetEngine(*engine)
 	}
 	jsonOut := map[string]any{}
-	run := func(name string, f func() (string, error)) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		out, err := f()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
-		}
-		if !*asJSON {
-			fmt.Println(out)
-		}
+	var exps []experiment
+	add := func(name string, f func() (string, error)) {
+		exps = append(exps, experiment{name, f})
 	}
 	collect := func(name string, rows any) {
 		if *asJSON {
@@ -130,12 +116,12 @@ func main() {
 	}
 	_ = collect
 
-	run("table1", func() (string, error) {
+	add("table1", func() (string, error) {
 		rows := experiments.Table1()
 		collect("table1", rows)
 		return experiments.FormatTable1(rows), nil
 	})
-	run("fig12", func() (string, error) {
+	add("fig12", func() (string, error) {
 		rows, err := experiments.Fig12(r)
 		if err != nil {
 			return "", err
@@ -143,7 +129,7 @@ func main() {
 		collect("fig12", rows)
 		return experiments.FormatFig12(rows), nil
 	})
-	run("table2", func() (string, error) {
+	add("table2", func() (string, error) {
 		rows, err := experiments.Table2(r)
 		if err != nil {
 			return "", err
@@ -151,7 +137,7 @@ func main() {
 		collect("table2", rows)
 		return experiments.FormatTable2(rows), nil
 	})
-	run("table3", func() (string, error) {
+	add("table3", func() (string, error) {
 		rows, err := experiments.Table3(r)
 		if err != nil {
 			return "", err
@@ -159,7 +145,7 @@ func main() {
 		collect("table3", rows)
 		return experiments.FormatTable3(rows), nil
 	})
-	run("fig13", func() (string, error) {
+	add("fig13", func() (string, error) {
 		rows, err := experiments.Fig13(r, latencies)
 		if err != nil {
 			return "", err
@@ -167,7 +153,7 @@ func main() {
 		collect("fig13", rows)
 		return experiments.FormatFig13(rows, latencies), nil
 	})
-	run("fig14", func() (string, error) {
+	add("fig14", func() (string, error) {
 		rows, err := experiments.Fig14(r)
 		if err != nil {
 			return "", err
@@ -175,7 +161,7 @@ func main() {
 		collect("fig14", rows)
 		return experiments.FormatFig14(rows), nil
 	})
-	run("throughput", func() (string, error) {
+	add("throughput", func() (string, error) {
 		rows, err := experiments.Throughput(r)
 		if err != nil {
 			return "", err
@@ -183,7 +169,7 @@ func main() {
 		collect("throughput", rows)
 		return experiments.FormatThroughput(rows), nil
 	})
-	run("multipair", func() (string, error) {
+	add("multipair", func() (string, error) {
 		rows, err := experiments.MultiPair(r)
 		if err != nil {
 			return "", err
@@ -191,7 +177,7 @@ func main() {
 		collect("multipair", rows)
 		return experiments.FormatMultiPair(rows), nil
 	})
-	run("schedule", func() (string, error) {
+	add("schedule", func() (string, error) {
 		rows, err := experiments.Schedule(r)
 		if err != nil {
 			return "", err
@@ -199,7 +185,7 @@ func main() {
 		collect("schedule", rows)
 		return experiments.FormatSchedule(rows), nil
 	})
-	run("normalize", func() (string, error) {
+	add("normalize", func() (string, error) {
 		rows, err := experiments.Normalize(r)
 		if err != nil {
 			return "", err
@@ -207,7 +193,7 @@ func main() {
 		collect("normalize", rows)
 		return experiments.FormatNormalize(rows), nil
 	})
-	run("simd", func() (string, error) {
+	add("simd", func() (string, error) {
 		rows, err := experiments.SIMD()
 		if err != nil {
 			return "", err
@@ -215,7 +201,7 @@ func main() {
 		collect("simd", rows)
 		return experiments.FormatSIMD(rows), nil
 	})
-	run("queuelen", func() (string, error) {
+	add("queuelen", func() (string, error) {
 		rows, err := experiments.QueueLen(r, lengths)
 		if err != nil {
 			return "", err
@@ -223,7 +209,7 @@ func main() {
 		collect("queuelen", rows)
 		return experiments.FormatQueueLen(rows, lengths), nil
 	})
-	run("search", func() (string, error) {
+	add("search", func() (string, error) {
 		rows, err := experiments.Search(r, experiments.SearchConfig{
 			Budget: *searchBudget,
 			Seed:   *searchSeed,
@@ -235,7 +221,7 @@ func main() {
 		collect("search", rows)
 		return experiments.FormatSearch(rows), nil
 	})
-	run("machspace", func() (string, error) {
+	add("machspace", func() (string, error) {
 		names := strings.Split(*msKernels, ",")
 		for i := range names {
 			names[i] = strings.TrimSpace(names[i])
@@ -257,7 +243,7 @@ func main() {
 		collect("machspace", reps)
 		return machspace.FormatReport(reps), nil
 	})
-	run("attribution", func() (string, error) {
+	add("attribution", func() (string, error) {
 		cc, err := parseInts(*traceCores)
 		if err != nil {
 			return "", err
@@ -283,13 +269,62 @@ func main() {
 		return out, nil
 	})
 
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonOut); err != nil {
-			fatal(err)
+	if *exp != "all" && !slices.ContainsFunc(exps, func(e experiment) bool { return e.name == *exp }) {
+		names := make([]string, len(exps))
+		for i, e := range exps {
+			names[i] = e.name
+		}
+		fmt.Fprintf(stderr, "fgpexp: unknown experiment %q (have %s, all)\n", *exp, strings.Join(names, ", "))
+		return 2
+	}
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProfile != "" {
+		defer func() {
+			f, err := os.Create(*memProfile)
+			if err != nil {
+				code = fail(err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // get up-to-date heap statistics
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				code = fail(err)
+			}
+		}()
+	}
+
+	for _, e := range exps {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		out, err := e.f()
+		if err != nil {
+			return fail(fmt.Errorf("%s: %w", e.name, err))
+		}
+		if !*asJSON {
+			fmt.Fprintln(stdout, out)
 		}
 	}
+
+	if *asJSON {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(jsonOut); err != nil {
+			return fail(err)
+		}
+	}
+	return 0
 }
 
 func parseInt64s(s string) ([]int64, error) {
@@ -326,9 +361,4 @@ func parseInts(s string) ([]int, error) {
 		out[i] = int(v)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fgpexp:", err)
-	os.Exit(1)
 }

@@ -55,9 +55,13 @@ func (a *Artifact) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding loop: %w", err)
 	}
-	srcBytes, err := ir.MarshalLoop(a.Source)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding source loop: %w", err)
+	// Without speculation or normalization the compiled loop is the source
+	// loop; encode it once.
+	srcBytes := loopBytes
+	if a.Source != a.Loop {
+		if srcBytes, err = ir.MarshalLoop(a.Source); err != nil {
+			return nil, fmt.Errorf("core: encoding source loop: %w", err)
+		}
 	}
 	mc := a.machine
 	mc.Trace = nil
@@ -97,9 +101,13 @@ func UnmarshalArtifact(data []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding loop: %w", err)
 	}
-	src, err := ir.UnmarshalLoop(w.Source)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding source loop: %w", err)
+	// Equal encodings decode to one shared loop, as a fresh compile that
+	// transformed nothing holds it; loops are never mutated after compile.
+	src := loop
+	if !bytes.Equal(w.Source, w.Loop) {
+		if src, err = ir.UnmarshalLoop(w.Source); err != nil {
+			return nil, fmt.Errorf("core: decoding source loop: %w", err)
+		}
 	}
 	if len(w.Programs) == 0 {
 		return nil, fmt.Errorf("core: artifact carries no programs")

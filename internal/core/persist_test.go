@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fgp/internal/ir"
 	"fgp/internal/kernels"
 	"fgp/internal/sim"
 )
@@ -101,5 +102,66 @@ func TestUnmarshalArtifactRejectsVersionSkew(t *testing.T) {
 	}
 	if _, err := UnmarshalArtifact(buf.Bytes()); err == nil {
 		t.Error("version-skewed artifact decoded without error")
+	}
+}
+
+// TestArtifactRoundTripLoopSharing: a plain compile holds one loop as both
+// Loop and Source and is restored that way; a speculated compile (lammps-1
+// has one speculated conditional) keeps two distinct loops, each restored
+// to its own canonical bytes.
+func TestArtifactRoundTripLoopSharing(t *testing.T) {
+	k, err := kernels.ByName("lammps-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := DefaultOptions(3)
+	spec.Speculate = true
+	for _, c := range []struct {
+		name   string
+		opt    Options
+		shared bool
+	}{
+		{"plain", DefaultOptions(3), true},
+		{"speculated", spec, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			art, err := Compile(k.Build(), c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (art.Loop == art.Source) != c.shared {
+				t.Fatalf("fresh compile: Loop == Source is %v, want %v", art.Loop == art.Source, c.shared)
+			}
+			data, err := art.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := UnmarshalArtifact(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (got.Loop == got.Source) != c.shared {
+				t.Errorf("restored: Loop == Source is %v, want %v", got.Loop == got.Source, c.shared)
+			}
+			for _, pair := range []struct {
+				what      string
+				got, want *ir.Loop
+			}{{"loop", got.Loop, art.Loop}, {"source", got.Source, art.Source}} {
+				g, err := ir.MarshalLoop(pair.got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := ir.MarshalLoop(pair.want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(g, w) {
+					t.Errorf("restored %s encodes differently from the stored one", pair.what)
+				}
+			}
+			if _, err := got.Verify(got.MachineConfig()); err != nil {
+				t.Errorf("restored artifact fails verify: %v", err)
+			}
+		})
 	}
 }

@@ -164,6 +164,20 @@ type Variant struct {
 	SearchSeed   int64
 }
 
+// canonical folds every spelling of a default into the zero value, so that
+// equal compilations share one artifact and one profile: the paper's
+// 20-slot queue is QueueLen 0, and the heuristic partitioner, which never
+// reads the search budget or seed, is Partitioner "" with both zeroed.
+func (v Variant) canonical() Variant {
+	if v.QueueLen < 0 || v.QueueLen == sim.DefaultConfig(v.Cores).QueueLen {
+		v.QueueLen = 0
+	}
+	if v.Partitioner == "" || v.Partitioner == core.PartitionerHeuristic {
+		v.Partitioner, v.SearchBudget, v.SearchSeed = "", 0, 0
+	}
+	return v
+}
+
 func (v Variant) options() core.Options {
 	opt := core.DefaultOptions(v.Cores)
 	opt.Speculate = v.Speculate
@@ -186,6 +200,7 @@ func (v Variant) options() core.Options {
 // variant. Concurrent calls for the same variant compile it once and share
 // the result.
 func (r *Runner) Artifact(k *kernels.Kernel, v Variant) (*core.Artifact, error) {
+	v = v.canonical()
 	key := artKey{k.Name, v.Cores, v.Speculate, v.Throughput, v.MultiPair, v.Schedule, v.QueueLen, v.NormalizeOps, v.Partitioner, v.SearchBudget, v.SearchSeed}
 	sh := &r.shards[key.shard()]
 	sh.mu.Lock()
@@ -230,6 +245,7 @@ func (r *Runner) Artifact(k *kernels.Kernel, v Variant) (*core.Artifact, error) 
 // profileFor measures (or returns the cached) profile feedback for one
 // kernel variant; all core counts of a variant share the measurement.
 func (r *Runner) profileFor(k *kernels.Kernel, v Variant) (profile.Profile, error) {
+	v = v.canonical()
 	key := profKey{k.Name, v.Speculate, v.NormalizeOps, v.QueueLen}
 	r.profMu.Lock()
 	e, ok := r.profs[key]

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"fgp/internal/core"
 	"fgp/internal/kernels"
 )
 
@@ -328,5 +329,37 @@ func TestRunnerCachesArtifacts(t *testing.T) {
 	}
 	if a3 == a1 {
 		t.Error("distinct variants must not share a cache slot")
+	}
+}
+
+// TestRunnerCanonicalVariant: every spelling of a default lever keys the
+// same cache slot, so the paper-default artifact is compiled once.
+func TestRunnerCanonicalVariant(t *testing.T) {
+	r := NewRunner()
+	k := kernelByName(t, "irs-3")
+	base, err := r.Artifact(k, Variant{Cores: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []Variant{
+		{Cores: 4, QueueLen: 20},
+		{Cores: 4, Partitioner: core.PartitionerHeuristic},
+		{Cores: 4, SearchBudget: 48, SearchSeed: 1},
+		{Cores: 4, QueueLen: 20, Partitioner: core.PartitionerHeuristic, SearchBudget: 48, SearchSeed: 1},
+	} {
+		a, err := r.Artifact(k, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != base {
+			t.Errorf("%+v compiled its own artifact; want the default's", v)
+		}
+	}
+	q8, err := r.Artifact(k, Variant{Cores: 4, QueueLen: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q8 == base {
+		t.Error("a non-default queue length shares the default's artifact")
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // jsonF64 carries float64 values across the wire. Finite values encode as
@@ -35,19 +36,12 @@ import (
 // to the quiet NaN, so loops differing only in NaN bits share an address.
 type jsonF64 float64
 
-func (v jsonF64) MarshalJSON() ([]byte, error) {
-	f := float64(v)
-	switch {
-	case math.IsNaN(f):
-		return []byte(`"nan"`), nil
-	case math.IsInf(f, 1):
-		return []byte(`"inf"`), nil
-	case math.IsInf(f, -1):
-		return []byte(`"-inf"`), nil
-	}
-	return json.Marshal(f)
-}
+func (v jsonF64) MarshalJSON() ([]byte, error) { return appendF64(nil, float64(v)), nil }
 
+// UnmarshalJSON parses a number directly; encoding/json has already
+// validated the literal, so strconv.ParseFloat accepts exactly the numbers
+// it would. Anything else — a literal that is not a number, or one out of
+// float64 range — is handed to encoding/json only to produce its error.
 func (v *jsonF64) UnmarshalJSON(data []byte) error {
 	if len(data) > 0 && data[0] == '"' {
 		var s string
@@ -66,23 +60,43 @@ func (v *jsonF64) UnmarshalJSON(data []byte) error {
 		}
 		return nil
 	}
-	var f float64
-	if err := json.Unmarshal(data, &f); err != nil {
-		return err
+	if string(data) == "null" {
+		return nil
+	}
+	f, err := strconv.ParseFloat(string(data), 64)
+	if err != nil {
+		var reject float64
+		return json.Unmarshal(data, &reject)
 	}
 	*v = jsonF64(f)
 	return nil
 }
 
-func toJSONF64s(fs []float64) []jsonF64 {
-	if fs == nil {
-		return nil
+// appendF64 appends the wire form of f. Finite values are formatted exactly
+// as encoding/json formats a float64: shortest round-trip digits in 'f'
+// notation, switching to 'e' below 1e-6 or at 1e21 and above, with a
+// two-digit negative exponent trimmed to one digit (e-07 becomes e-7).
+func appendF64(b []byte, f float64) []byte {
+	switch {
+	case math.IsNaN(f):
+		return append(b, `"nan"`...)
+	case math.IsInf(f, 1):
+		return append(b, `"inf"`...)
+	case math.IsInf(f, -1):
+		return append(b, `"-inf"`...)
 	}
-	out := make([]jsonF64, len(fs))
-	for i, f := range fs {
-		out[i] = jsonF64(f)
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
 	}
-	return out
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 func fromJSONF64s(fs []jsonF64) []float64 {
@@ -96,13 +110,24 @@ func fromJSONF64s(fs []jsonF64) []float64 {
 	return out
 }
 
+// jsonLoop is the decoding shape of a loop. MarshalLoop writes the same
+// fields in the same order, but appends the array payloads itself: the
+// head and tail go through encoding/json, the bulk data does not.
 type jsonLoop struct {
-	Name    string       `json:"name"`
-	Index   string       `json:"index"`
-	Start   int64        `json:"start"`
-	End     int64        `json:"end"`
-	Step    int64        `json:"step"`
-	Arrays  []jsonArray  `json:"arrays,omitempty"`
+	jsonLoopHead
+	Arrays []jsonArray `json:"arrays,omitempty"`
+	jsonLoopTail
+}
+
+type jsonLoopHead struct {
+	Name  string `json:"name"`
+	Index string `json:"index"`
+	Start int64  `json:"start"`
+	End   int64  `json:"end"`
+	Step  int64  `json:"step"`
+}
+
+type jsonLoopTail struct {
 	Scalars []jsonScalar `json:"scalars,omitempty"`
 	Body    []jsonStmt   `json:"body"`
 	LiveOut []string     `json:"liveout,omitempty"`
@@ -174,20 +199,11 @@ type jsonUn struct {
 // MarshalLoop encodes the loop as deterministic JSON: the same loop always
 // yields the same bytes, making the encoding usable as a content-address.
 func MarshalLoop(l *Loop) ([]byte, error) {
-	jl := jsonLoop{
-		Name: l.Name, Index: l.Index,
-		Start: l.Start, End: l.End, Step: l.Step,
-		LiveOut: l.LiveOut,
+	body, err := encodeStmts(l.Body)
+	if err != nil {
+		return nil, err
 	}
-	for _, a := range l.Arrays {
-		ja := jsonArray{Name: a.Name, Kind: a.K.String()}
-		if a.K == F64 {
-			ja.F64 = toJSONF64s(a.InitF)
-		} else {
-			ja.I64 = a.InitI
-		}
-		jl.Arrays = append(jl.Arrays, ja)
-	}
+	tail := jsonLoopTail{Body: body, LiveOut: l.LiveOut}
 	for _, s := range l.Scalars {
 		js := jsonScalar{Name: s.Name, Kind: s.K.String()}
 		if s.K == F64 {
@@ -197,14 +213,75 @@ func MarshalLoop(l *Loop) ([]byte, error) {
 			i := s.I
 			js.I64 = &i
 		}
-		jl.Scalars = append(jl.Scalars, js)
+		tail.Scalars = append(tail.Scalars, js)
 	}
-	body, err := encodeStmts(l.Body)
+	head, err := json.Marshal(jsonLoopHead{
+		Name: l.Name, Index: l.Index,
+		Start: l.Start, End: l.End, Step: l.Step,
+	})
 	if err != nil {
 		return nil, err
 	}
-	jl.Body = body
-	return json.Marshal(jl)
+	rest, err := json.Marshal(tail)
+	if err != nil {
+		return nil, err
+	}
+	// Both halves are JSON objects: splice them into one, with the arrays
+	// between, by dropping head's closing and rest's opening brace. The
+	// buffer is sized for the longest element forms (25 bytes for a float,
+	// 20 for an integer, each plus a comma), so only names that need
+	// escaping can make it regrow.
+	size := len(head) + len(rest) + len(`,"arrays":[]`)
+	for _, a := range l.Arrays {
+		size += len(a.Name) + len(`{"name":"","kind":"f64","f64":[]},`) + 26*len(a.InitF) + 21*len(a.InitI)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, head[:len(head)-1]...)
+	if len(l.Arrays) > 0 {
+		b = append(b, `,"arrays":[`...)
+		for i, a := range l.Arrays {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendArray(b, a); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, ']')
+	}
+	b = append(b, ',')
+	return append(b, rest[1:]...), nil
+}
+
+// appendArray appends one array declaration: its name and kind through
+// encoding/json, its initial data element by element.
+func appendArray(b []byte, a *ArrayDecl) ([]byte, error) {
+	decl, err := json.Marshal(jsonArray{Name: a.Name, Kind: a.K.String()})
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, decl[:len(decl)-1]...)
+	switch {
+	case a.K == F64 && len(a.InitF) > 0:
+		b = append(b, `,"f64":[`...)
+		for i, f := range a.InitF {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendF64(b, f)
+		}
+		b = append(b, ']')
+	case a.K != F64 && len(a.InitI) > 0:
+		b = append(b, `,"i64":[`...)
+		for i, v := range a.InitI {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, v, 10)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
 }
 
 func encodeStmts(stmts []Stmt) ([]jsonStmt, error) {
