@@ -8,7 +8,10 @@
 //
 //   - Crash safety: fills write to a temporary file and rename into place,
 //     so a process killed mid-fill leaves no partially written entry
-//     visible. Leftover temporaries are swept on Open.
+//     visible. Leftover temporaries are swept on Open. Fills are not
+//     flushed to the device: an entry torn by an operating-system crash
+//     is caught by the checksum below and costs one recompile, so a fill
+//     never waits on the disk.
 //   - Integrity: every entry carries a sha256 checksum of its payload; a
 //     corrupted entry (bit rot, torn write, truncation) is detected on
 //     read-back, evicted, and reported as ErrCorrupt — the caller
@@ -234,8 +237,9 @@ func (s *Store) Get(key string) ([]byte, error) {
 }
 
 // Put stores payload under key, atomically: the entry becomes visible only
-// via the final rename, so a crash mid-write leaves at most an invisible
-// temporary (swept on the next Open). Re-putting an existing key refreshes
+// via the final rename, so a process crash mid-write leaves at most an
+// invisible temporary (swept on the next Open). The file is not flushed to
+// the device; see the package comment. Re-putting an existing key refreshes
 // its payload and recency.
 func (s *Store) Put(key string, payload []byte) error {
 	if !validKey(key) {
@@ -261,9 +265,6 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 	if err == nil {
 		_, err = f.Write(payload)
-	}
-	if err == nil {
-		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

@@ -166,6 +166,52 @@ func TestTruncatedEntryDetected(t *testing.T) {
 	}
 }
 
+// TestUnflushedEntriesAfterOSCrash: Put does not flush, so an operating
+// system crash can leave a committed name whose data never reached the
+// device — an empty file, or a payload whose tail reads back as zeros.
+// Neither may be served: the empty one is dropped on reopen, the zeroed one
+// fails its checksum, and both keys read as misses that a refill heals.
+func TestUnflushedEntriesAfterOSCrash(t *testing.T) {
+	dir := t.TempDir()
+	s1 := open(t, dir, 0)
+	payload := bytes.Repeat([]byte("artifact"), 64)
+	for _, key := range []string{"art-e1", "art-e2"} {
+		if err := s1.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(s1.path("art-e1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s1.path("art-e2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(data[len(data)-100:])
+	if err := os.WriteFile(s1.path("art-e2"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := open(t, dir, 0)
+	if s2.Len() != 1 {
+		t.Errorf("reopened store indexed %d entries, want 1 (the empty file dropped)", s2.Len())
+	}
+	if _, err := s2.Get("art-e1"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("empty entry: %v, want ErrNotFound", err)
+	}
+	if _, err := s2.Get("art-e2"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("zero-tailed entry: %v, want ErrCorrupt", err)
+	}
+	for _, key := range []string{"art-e1", "art-e2"} {
+		if err := s2.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s2.Get(key); err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("%s after refill: %v", key, err)
+		}
+	}
+}
+
 // TestChecksumGuardsHeaderNotJustPayload: flipping a checksum byte (not the
 // payload) must also read as corrupt.
 func TestChecksumGuardsHeaderNotJustPayload(t *testing.T) {
