@@ -1,8 +1,8 @@
 // Command fgpbench is the host-performance regression harness: it times the
 // full Figure 12 sweep (every kernel compiled and simulated at 1, 2, and 4
-// cores) on every execution engine — the per-instruction reference
-// scheduler, the burst engine, and the threaded-code engine — serial and
-// parallel, and emits a machine-readable report.
+// cores) on both execution engines — the per-instruction reference
+// scheduler and the burst engine — serial and parallel, and emits a
+// machine-readable report.
 //
 // The report (BENCH_sim.json, committed at the repo root) records total
 // sweep wall-clock, the compile/simulate split, host nanoseconds per
@@ -45,7 +45,7 @@ import (
 // Mode is one engine/worker configuration of the sweep.
 type Mode struct {
 	Name    string `json:"name"`
-	Engine  string `json:"engine"`  // "reference", "burst" or "threaded"
+	Engine  string `json:"engine"`  // "reference" or "burst"
 	Workers int    `json:"workers"` // 0 = one per available CPU
 
 	// ColdNs is the best wall-clock of the full sweep from an empty cache:
@@ -101,10 +101,8 @@ type Report struct {
 	Machspace *MachspaceSweep `json:"machspace,omitempty"`
 
 	// Headline ratios, all versus the reference-serial cold sweep.
-	SpeedupBurstSerial      float64 `json:"speedup_burst_serial"`
-	SpeedupBurstParallel    float64 `json:"speedup_burst_parallel"`
-	SpeedupThreadedSerial   float64 `json:"speedup_threaded_serial"`
-	SpeedupThreadedParallel float64 `json:"speedup_threaded_parallel"`
+	SpeedupBurstSerial   float64 `json:"speedup_burst_serial"`
+	SpeedupBurstParallel float64 `json:"speedup_burst_parallel"`
 
 	// Baseline optionally records an externally measured cold sweep of an
 	// older checkout (via -baseline/-baseline-ns), e.g. the seed
@@ -169,10 +167,8 @@ type Baseline struct {
 	ColdNs int64  `json:"cold_ns"`
 
 	// Speedups of the current modes' cold sweeps over this baseline.
-	SpeedupBurstSerial      float64 `json:"speedup_burst_serial"`
-	SpeedupBurstParallel    float64 `json:"speedup_burst_parallel"`
-	SpeedupThreadedSerial   float64 `json:"speedup_threaded_serial"`
-	SpeedupThreadedParallel float64 `json:"speedup_threaded_parallel"`
+	SpeedupBurstSerial   float64 `json:"speedup_burst_serial"`
+	SpeedupBurstParallel float64 `json:"speedup_burst_parallel"`
 }
 
 func main() {
@@ -197,9 +193,7 @@ func main() {
 	modes := []Mode{
 		{Name: "reference-serial", Engine: "reference", Workers: 1},
 		{Name: "burst-serial", Engine: "burst", Workers: 1},
-		{Name: "threaded-serial", Engine: "threaded", Workers: 1},
 		{Name: "burst-parallel", Engine: "burst", Workers: *workers},
-		{Name: "threaded-parallel", Engine: "threaded", Workers: *workers},
 	}
 
 	if *once != "" {
@@ -304,17 +298,13 @@ func main() {
 	}
 
 	rep.SpeedupBurstSerial = modes[1].SpeedupCold
-	rep.SpeedupThreadedSerial = modes[2].SpeedupCold
-	rep.SpeedupBurstParallel = modes[3].SpeedupCold
-	rep.SpeedupThreadedParallel = modes[4].SpeedupCold
+	rep.SpeedupBurstParallel = modes[2].SpeedupCold
 	if *baseName != "" && *baseNs > 0 {
 		rep.Baseline = &Baseline{
-			Name:                    *baseName,
-			ColdNs:                  *baseNs,
-			SpeedupBurstSerial:      float64(*baseNs) / float64(modes[1].ColdNs),
-			SpeedupThreadedSerial:   float64(*baseNs) / float64(modes[2].ColdNs),
-			SpeedupBurstParallel:    float64(*baseNs) / float64(modes[3].ColdNs),
-			SpeedupThreadedParallel: float64(*baseNs) / float64(modes[4].ColdNs),
+			Name:                 *baseName,
+			ColdNs:               *baseNs,
+			SpeedupBurstSerial:   float64(*baseNs) / float64(modes[1].ColdNs),
+			SpeedupBurstParallel: float64(*baseNs) / float64(modes[2].ColdNs),
 		}
 	}
 

@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	workers := fs.Int("workers", 0, "worker pool size for experiment sweeps (0 = one per CPU, 1 = serial)")
 	reference := fs.Bool("reference", false, "simulate on the reference per-instruction engine instead of the burst engine")
-	engine := fs.String("engine", "", "simulation engine for every run: burst (default), reference, or threaded")
+	engine := fs.String("engine", "", "simulation engine for every run: burst (default) or reference (threaded is an alias of burst)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {

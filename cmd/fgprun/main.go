@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	searchBudget := fs.Int("search-budget", 0, "candidate budget for -partitioner=search (0 = default)")
 	searchSeed := fs.Int64("search-seed", 0, "random seed for -partitioner=search")
 	verify := fs.Bool("verify", true, "check results against the reference interpreter")
-	engine := fs.String("engine", "", "simulation engine: burst (default), reference, or threaded")
+	engine := fs.String("engine", "", "simulation engine: burst (default) or reference (threaded is an alias of burst)")
 	trace := fs.Int("trace", 0, "print the first N simulated instructions as a timeline")
 	traceOut := fs.String("trace-out", "", "record the run's event stream and write it to this file")
 	traceFormat := fs.String("trace-format", "text", "format for -trace-out: "+obs.TraceFormats)

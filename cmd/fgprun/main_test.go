@@ -55,6 +55,16 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
+// TestRunEngineAlias pins that -engine threaded still runs — as an alias of
+// the burst engine — and prints exactly the default engine's golden report.
+func TestRunEngineAlias(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-kernel", "umt2k-1", "-cores", "4", "-engine", "threaded"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
+	}
+	checkGolden(t, "golden_umt2k-1.txt", out.Bytes())
+}
+
 func TestRunBadInvocations(t *testing.T) {
 	cases := []struct {
 		name string

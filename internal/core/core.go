@@ -75,7 +75,7 @@ type Options struct {
 	// PartitionerHeuristic (the default — the paper's greedy code-graph
 	// merge) or PartitionerSearch, which refines the heuristic partition
 	// with internal/search: beam search plus simulated annealing over merge
-	// orders, scored by the threaded simulator, with every candidate gated
+	// orders, scored by the burst simulator, with every candidate gated
 	// through program validation and internal/verify before scoring. The
 	// search is seeded by the heuristic partition, so its result is never
 	// worse. Ignored when Cores == 1 (there is nothing to place).
@@ -144,7 +144,8 @@ type Report struct {
 	// (including the heuristic seed).
 	SearchExplored int
 	// SearchBaselineCycles is the simulated cycle count of the heuristic
-	// seed partition on the threaded engine; SearchCycles is the winner's.
+	// seed partition (on the burst engine; cycles are engine-independent);
+	// SearchCycles is the winner's.
 	// SearchCycles <= SearchBaselineCycles by construction.
 	SearchBaselineCycles int64
 	SearchCycles         int64
@@ -294,13 +295,6 @@ func CompileContext(ctx context.Context, l *ir.Loop, opt Options) (*Artifact, er
 		return nil, fmt.Errorf("core: compiled program failed static verification: %w", err)
 	}
 
-	// Build the threaded engine's basic-block translation now, from the
-	// programs static verification just accepted. The translation cache is
-	// content-addressed, so every later simulation of this artifact — and of
-	// any identical artifact compiled elsewhere (fgpd's singleflight cache,
-	// the experiment runner) — starts warm.
-	sim.PrecompileThreaded(compiled.Programs, mc.Cost)
-
 	a := &Artifact{
 		Loop: l, Source: src, Fn: fn, Fibers: set, Deps: info,
 		Parts: parts, Compiled: compiled, machine: mc,
@@ -326,7 +320,7 @@ type searchStats struct {
 // The objective compiles every candidate through the normal pipeline tail —
 // outlining, program validation, and internal/verify's translation
 // validation — so illegal partitions are rejected before they are ever
-// scored, then simulates the survivor on the threaded engine and returns
+// scored, then simulates the survivor on the burst engine and returns
 // its cycle count. When the winner differs from the seed, its final memory
 // image and live-outs are cross-checked bit-identical against the seed's
 // before it is accepted. If the seed itself cannot be scored (the kernel
@@ -364,7 +358,7 @@ func searchPartition(ctx context.Context, l *ir.Loop, fn *tac.Fn, info *deps.Inf
 		return compiled, nil
 	}
 	objCfg := mc
-	objCfg.Engine = sim.EngineThreaded
+	objCfg.Engine = sim.EngineBurst
 	simulate := func(ctx context.Context, compiled *outline.Compiled, image *mem.Memory) (*sim.Result, error) {
 		m, err := sim.New(compiled.Programs, image, objCfg)
 		if err != nil {

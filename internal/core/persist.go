@@ -87,8 +87,7 @@ func (a *Artifact) MarshalBinary() ([]byte, error) {
 // UnmarshalArtifact restores a serialized artifact. The result executes
 // bit-identically to the artifact that was stored (the programs and machine
 // configuration are carried verbatim; every run builds its memory image
-// fresh from the loop's arrays). The threaded engine's translation cache is
-// prewarmed exactly as CompileContext does after a fresh compile.
+// fresh from the loop's arrays).
 func UnmarshalArtifact(data []byte) (*Artifact, error) {
 	var w artifactWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -117,7 +116,6 @@ func UnmarshalArtifact(data []byte) (*Artifact, error) {
 			return nil, fmt.Errorf("core: restored program failed validation: %w", err)
 		}
 	}
-	sim.PrecompileThreaded(w.Programs, w.Machine.Cost)
 	return &Artifact{
 		Loop:   loop,
 		Source: src,

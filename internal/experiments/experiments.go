@@ -120,10 +120,10 @@ func (r *Runner) SetWorkers(n int) { r.workers = n }
 
 // SetEngine routes every simulation this runner launches — main runs,
 // sequential baselines, and compile-time profiling runs — through the named
-// sim engine ("" or sim.EngineBurst for the default, sim.EngineReference,
-// sim.EngineThreaded). Results are bit-identical across engines; only host
-// time changes. Call before launching experiments, not concurrently with
-// them.
+// sim engine ("" or sim.EngineBurst for the default, or
+// sim.EngineReference; sim.EngineThreaded is an alias of burst). Results are
+// bit-identical across engines; only host time changes. Call before
+// launching experiments, not concurrently with them.
 func (r *Runner) SetEngine(engine string) { r.engine = engine }
 
 // SetReference forces every simulation this runner launches onto the
@@ -258,7 +258,7 @@ func (r *Runner) profileFor(k *kernels.Kernel, v Variant) (profile.Profile, erro
 		opt := v.options()
 		if r.engine != "" {
 			// The profiling simulation runs on the runner's engine too, so a
-			// threaded sweep exercises the threaded engine end to end.
+			// reference sweep exercises the reference engine end to end.
 			if opt.Machine == nil {
 				cfg := sim.DefaultConfig(v.Cores)
 				opt.Machine = &cfg

@@ -14,7 +14,8 @@ import (
 // core count: the simulated cycle count of the paper-heuristic partition,
 // the cycle count of the searched partition (never larger, by
 // construction), and how many candidates the search scored to find it.
-// Both cycle counts come from the threaded engine, the search objective.
+// Both cycle counts come from the search objective (the burst engine);
+// simulated cycles are identical on every engine.
 type SearchRow struct {
 	Name            string
 	Cores           int

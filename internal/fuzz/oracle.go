@@ -20,7 +20,7 @@ import (
 // OracleConfig selects the configuration matrix one kernel is checked
 // against. The zero value checks the full default matrix: cores 1..4 ×
 // speculation {off, on} × normalization {as-authored, split-at-3} × engine
-// {burst, reference, threaded}, plus the metamorphic invariants.
+// {burst, reference}, plus the metamorphic invariants.
 type OracleConfig struct {
 	// MaxCores bounds the core-count sweep (default 4).
 	MaxCores int
@@ -191,18 +191,14 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 				}
 				burstRes, refRes := results[sim.EngineBurst], results[sim.EngineReference]
 				burstRec, refRec := recs[sim.EngineBurst], recs[sim.EngineReference]
-				// Invariant: every engine is bit-identical to the reference
-				// scheduler — full counter equality, not just the headline
-				// cycle count, so relaxed-order scheduling in the threaded
-				// engine cannot hide behind matching totals (QueueHighWater in
-				// particular observes canonical queue-depth order directly).
-				for _, eng := range sim.Engines() {
-					if eng == sim.EngineReference || results[eng] == nil || refRes == nil {
-						continue
-					}
-					if d := diffResults(results[eng], refRes); d != "" {
+				// Invariant: the burst engine is bit-identical to the
+				// reference scheduler — full counter equality, not just the
+				// headline cycle count (QueueHighWater in particular observes
+				// canonical queue-depth order directly).
+				if burstRes != nil && refRes != nil {
+					if d := diffResults(burstRes, refRes); d != "" {
 						return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
-							Engine: eng, Stage: "invariant",
+							Engine: sim.EngineBurst, Stage: "invariant",
 							Detail: fmt.Sprintf("diverges from reference: %s", d)}
 					}
 				}
@@ -233,29 +229,21 @@ func Check(l *ir.Loop, oc OracleConfig) error {
 						return m
 					}
 				}
-				// Invariant: repeat runs are cycle-deterministic, on the
-				// default engine and on the threaded engine (whose artifact
-				// cache makes the second run take the warm path). One
+				// Invariant: repeat runs are cycle-deterministic. One
 				// configuration per kernel keeps the cost bounded.
-				if !oc.SkipRepeat && cores == oc.MaxCores && !spec && norm == 0 {
-					for _, eng := range []string{sim.EngineBurst, sim.EngineThreaded} {
-						first := results[eng]
-						if first == nil {
-							continue
-						}
-						res2, _, err := checkRun(l, art, ref, rerr, eng)
-						if err != nil {
-							m := err.(*Mismatch)
-							m.Cores, m.Spec, m.Norm, m.Engine = cores, spec, norm, eng
-							m.Stage = "invariant"
-							m.Detail = "repeat run: " + m.Detail
-							return m
-						}
-						if res2.Cycles != first.Cycles || res2.Transfers != first.Transfers {
-							return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
-								Engine: eng, Stage: "invariant",
-								Detail: fmt.Sprintf("nondeterministic repeat: cycles %d then %d", first.Cycles, res2.Cycles)}
-						}
+				if !oc.SkipRepeat && cores == oc.MaxCores && !spec && norm == 0 && burstRes != nil {
+					res2, _, err := checkRun(l, art, ref, rerr, sim.EngineBurst)
+					if err != nil {
+						m := err.(*Mismatch)
+						m.Cores, m.Spec, m.Norm, m.Engine = cores, spec, norm, sim.EngineBurst
+						m.Stage = "invariant"
+						m.Detail = "repeat run: " + m.Detail
+						return m
+					}
+					if res2.Cycles != burstRes.Cycles || res2.Transfers != burstRes.Transfers {
+						return &Mismatch{Kernel: l.Name, Cores: cores, Spec: spec, Norm: norm,
+							Engine: sim.EngineBurst, Stage: "invariant",
+							Detail: fmt.Sprintf("nondeterministic repeat: cycles %d then %d", burstRes.Cycles, res2.Cycles)}
 					}
 				}
 			}
@@ -400,20 +388,12 @@ func diffResults(got, want *sim.Result) string {
 // interpreter result. When the interpreter trapped (rerr != nil), the
 // simulation must also trap and the value comparison is skipped. The
 // returned error is always a *Mismatch.
-//
-// The threaded leg runs without an event sink: a sink makes runThreaded
-// delegate to the burst decomposition by construction, which would leave the
-// fused-block runtime unexercised. Its recorder is therefore nil and the
-// event-stream invariants apply to the burst/reference pair only.
 func checkRun(src *ir.Loop, art *core.Artifact, ref *interp.Result, rerr error, engine string) (*sim.Result, *obs.Recorder, error) {
 	cfg := art.MachineConfig()
 	cfg.DebugEdges = true
 	cfg.Engine = engine
-	var rec *obs.Recorder
-	if engine != sim.EngineThreaded {
-		rec = obs.NewRecorder()
-		cfg.Sink = rec
-	}
+	rec := obs.NewRecorder()
+	cfg.Sink = rec
 	img := outline.BuildMemory(art.Loop)
 	m, err := sim.New(art.Compiled.Programs, img, cfg)
 	if err != nil {

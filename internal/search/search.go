@@ -26,7 +26,7 @@
 //
 // Candidates are scored by an Objective the caller supplies; the compiler
 // driver (internal/core) builds one that compiles the candidate through the
-// normal outline → static-verify path and simulates it on the threaded
+// normal outline → static-verify path and simulates it on the burst
 // engine, so an illegal partition is rejected by internal/verify before it
 // is ever scored and a scored candidate is always a runnable program.
 //

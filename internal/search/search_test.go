@@ -94,7 +94,7 @@ func (p *pipeline) gate(cand *codegraph.Result) (*outline.Compiled, error) {
 	return compiled, nil
 }
 
-// objective is the real thing: gate then threaded-engine simulation.
+// objective is the real thing: gate then burst-engine simulation.
 func (p *pipeline) objective() search.Objective {
 	return func(ctx context.Context, cand *codegraph.Result) (int64, error) {
 		compiled, err := p.gate(cand)
@@ -102,7 +102,7 @@ func (p *pipeline) objective() search.Objective {
 			return 0, err
 		}
 		cfg := p.mc
-		cfg.Engine = sim.EngineThreaded
+		cfg.Engine = sim.EngineBurst
 		m, err := sim.New(compiled.Programs, outline.BuildMemory(p.loop), cfg)
 		if err != nil {
 			return 0, err

@@ -136,6 +136,35 @@ func TestRunVerifierRejectionReturns422(t *testing.T) {
 	}
 }
 
+// TestUnknownEngineReturns400: an engine name the simulator does not know
+// is a client error, caught before any compile — on /v1/run and on a batch
+// item alike — and the message names the accepted engines.
+func TestUnknownEngineReturns400(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	code, eb := postRaw(t, ts, `{"kernel":"umt2k-1","cores":2,"engine":"bogus"}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("/v1/run: status %d, want 400 (error %q)", code, eb.Error)
+	}
+	for _, want := range []string{"bogus", sim.EngineBurst, sim.EngineReference} {
+		if !strings.Contains(eb.Error, want) {
+			t.Errorf("/v1/run: error %q does not mention %q", eb.Error, want)
+		}
+	}
+
+	code, items, trailer := postBatch(t, ts, BatchRequest{Items: []RunRequest{
+		{Kernel: "umt2k-1", Cores: 2, Engine: "bogus"},
+	}})
+	if code != http.StatusOK || trailer == nil || len(items) != 1 {
+		t.Fatalf("/v1/batch: status %d, %d items, trailer %v", code, len(items), trailer)
+	}
+	if it := items[0]; it.Status != http.StatusBadRequest || !strings.Contains(it.Error, "bogus") {
+		t.Errorf("/v1/batch item: status %d error %q, want 400 naming the engine", it.Status, it.Error)
+	}
+	if c := s.Snapshot().Artifacts.Compiles; c != 0 {
+		t.Errorf("rejected requests cost %d compiles, want 0", c)
+	}
+}
+
 // TestRunTrapReturns422: a well-formed kernel whose own semantics trap
 // (division by zero) is the kernel's fault, not the server's.
 func TestRunTrapReturns422(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -130,10 +131,13 @@ func (s *Server) handleFrontierGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ts := q.Get("target_speedup"); ts != "" {
+		// ParseFloat accepts "inf" and "NaN", which JSON cannot carry: an
+		// infinite target would fail to encode in the miss body, and NaN
+		// would silently disable the query.
 		v, err := strconv.ParseFloat(ts, 64)
-		if err != nil {
+		if err != nil || math.IsInf(v, 0) || math.IsNaN(v) {
 			s.met.errors.Add(1)
-			httpError(w, http.StatusBadRequest, "target_speedup must be a number")
+			httpError(w, http.StatusBadRequest, "target_speedup must be a finite number")
 			return
 		}
 		req.TargetSpeedup = v

@@ -153,6 +153,36 @@ func TestFrontierValidation(t *testing.T) {
 	}
 }
 
+// TestFrontierNonFiniteTargetIs400: the GET spelling parses
+// target_speedup with strconv, which accepts "inf" and "NaN". Neither is a
+// target JSON can carry back, so both must be a 400 with an error body —
+// not a 404 with an empty body (inf) or a silently ignored target (NaN).
+func TestFrontierNonFiniteTargetIs400(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, v := range []string{"inf", "-Inf", "NaN"} {
+		resp, err := http.Get(ts.URL + "/v1/frontier?kernel=umt2k-1&target_speedup=" + v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("target_speedup=%s: %d, want 400\n%s", v, resp.StatusCode, data)
+			continue
+		}
+		var eb errorBody
+		if err := json.Unmarshal(data, &eb); err != nil || !strings.Contains(eb.Error, "target_speedup") {
+			t.Errorf("target_speedup=%s: body %q does not name target_speedup (%v)", v, data, err)
+		}
+	}
+	if c := s.Snapshot().Artifacts.Compiles; c != 0 {
+		t.Errorf("rejected queries cost %d compiles, want 0", c)
+	}
+}
+
 func TestFrontierZeroValuedLeverGrid(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// Every lever dialed to its zero: a one-slot queue with free, instant

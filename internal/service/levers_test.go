@@ -110,3 +110,26 @@ func TestLeverBoundsStillRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestThreadedEngineAliasesBurst pins the engine-name contract over HTTP:
+// "threaded" (the name of a removed engine) is still accepted and returns
+// the burst engine's cycles from the same content-addressed artifact.
+func TestThreadedEngineAliasesBurst(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	run := func(engine string) *RunResponse {
+		t.Helper()
+		code, resp, errMsg := postRun(t, ts, RunRequest{Kernel: "sphot-1", Cores: 3, Engine: engine})
+		if code != 200 {
+			t.Fatalf("engine %q: %d %s", engine, code, errMsg)
+		}
+		return resp
+	}
+	burst, threaded := run("burst"), run("threaded")
+	if threaded.Cycles != burst.Cycles || threaded.Transfers != burst.Transfers {
+		t.Errorf("threaded: cycles %d transfers %d, burst: cycles %d transfers %d",
+			threaded.Cycles, threaded.Transfers, burst.Cycles, burst.Transfers)
+	}
+	if threaded.ArtifactAddress != burst.ArtifactAddress {
+		t.Errorf("threaded artifact address %s != burst %s", threaded.ArtifactAddress, burst.ArtifactAddress)
+	}
+}

@@ -58,9 +58,10 @@ type RunRequest struct {
 	// Reference routes the simulation through the retained per-instruction
 	// engine instead of the burst engine (bit-identical results).
 	Reference bool `json:"reference,omitempty"`
-	// Engine selects the execution engine by name ("burst", "reference",
-	// "threaded"); it wins over Reference when both are set. All engines
-	// return bit-identical results — the lever trades host time only.
+	// Engine selects the execution engine by name ("burst" or "reference";
+	// "threaded" is accepted as an alias of "burst"); it wins over
+	// Reference when both are set. Both engines return bit-identical
+	// results — the lever trades host time only.
 	Engine string `json:"engine,omitempty"`
 	// Attribution includes the stall-attribution report text.
 	Attribution bool `json:"attribution,omitempty"`
@@ -263,6 +264,10 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 	}
 	if partitioner != "" && partitioner != core.PartitionerSearch {
 		return fail(http.StatusBadRequest, fmt.Sprintf("partitioner must be one of %v", core.Partitioners()))
+	}
+	engine := sim.Config{Reference: req.Reference, Engine: req.Engine}
+	if err := engine.ValidateEngine(); err != nil {
+		return fail(http.StatusBadRequest, err.Error())
 	}
 
 	loopBytes, err := ir.MarshalLoop(loop)

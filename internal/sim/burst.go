@@ -825,7 +825,7 @@ loop:
 				c.blockAt = time
 				break loop
 			}
-			e := q.Pop(time)
+			e := q.Pop()
 			start := time
 			if e.AvailAt > start {
 				start = e.AvailAt

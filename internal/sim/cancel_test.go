@@ -39,9 +39,7 @@ func engineConfigs() map[string]Config {
 	burst := cfg1()
 	ref := cfg1()
 	ref.Reference = true
-	threaded := cfg1()
-	threaded.Engine = EngineThreaded
-	return map[string]Config{"burst": burst, "reference": ref, "threaded": threaded}
+	return map[string]Config{"burst": burst, "reference": ref}
 }
 
 func TestRunContextPreCancelled(t *testing.T) {

@@ -20,9 +20,9 @@ import (
 	"fgp/internal/sim"
 )
 
-// runEngines compiles nothing: it simulates an existing artifact once per
-// engine and returns all three results.
-func runEngines(t *testing.T, a *core.Artifact, cfg sim.Config) (burst, threaded, ref *sim.Result) {
+// runEngines compiles nothing: it simulates an existing artifact once on
+// each engine and returns both results.
+func runEngines(t *testing.T, a *core.Artifact, cfg sim.Config) (burst, ref *sim.Result) {
 	t.Helper()
 	cfg.Reference = false
 	cfg.Engine = sim.EngineBurst
@@ -30,24 +30,12 @@ func runEngines(t *testing.T, a *core.Artifact, cfg sim.Config) (burst, threaded
 	if err != nil {
 		t.Fatalf("burst run: %v", err)
 	}
-	cfg.Engine = sim.EngineThreaded
-	threaded, err = a.Run(cfg)
-	if err != nil {
-		t.Fatalf("threaded run: %v", err)
-	}
 	cfg.Engine = sim.EngineReference
 	ref, err = a.Run(cfg)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	return burst, threaded, ref
-}
-
-// diffAllEngines asserts both optimized engines against the reference.
-func diffAllEngines(t *testing.T, label string, burst, threaded, ref *sim.Result) {
-	t.Helper()
-	diffResults(t, label+"/burst", burst, ref)
-	diffResults(t, label+"/threaded", threaded, ref)
+	return burst, ref
 }
 
 // diffResults compares every observable field of two results.
@@ -96,8 +84,8 @@ func TestBurstMatchesReferenceAllKernels(t *testing.T) {
 					if err != nil {
 						t.Fatalf("compile: %v", err)
 					}
-					burst, threaded, ref := runEngines(t, a, a.MachineConfig())
-					diffAllEngines(t, name, burst, threaded, ref)
+					burst, ref := runEngines(t, a, a.MachineConfig())
+					diffResults(t, name, burst, ref)
 				})
 			}
 		}
@@ -115,8 +103,8 @@ func TestBurstMatchesReferenceSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			burst, threaded, ref := runEngines(t, a, a.MachineConfig())
-			diffAllEngines(t, k.Name, burst, threaded, ref)
+			burst, ref := runEngines(t, a, a.MachineConfig())
+			diffResults(t, k.Name, burst, ref)
 		})
 	}
 }
@@ -147,8 +135,8 @@ func TestBurstMatchesReferenceConfigSweep(t *testing.T) {
 			t.Parallel()
 			cfg := a.MachineConfig()
 			mod(&cfg)
-			burst, threaded, ref := runEngines(t, a, cfg)
-			diffAllEngines(t, name, burst, threaded, ref)
+			burst, ref := runEngines(t, a, cfg)
+			diffResults(t, name, burst, ref)
 		})
 	}
 }
@@ -180,26 +168,24 @@ func TestEventStreamMatchesAcrossEngines(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
-				for _, engine := range []string{sim.EngineBurst, sim.EngineThreaded} {
-					rec := obs.NewRecorder()
-					cfg.Engine = engine
-					cfg.Sink = rec
-					res, err := a.Run(cfg)
-					if err != nil {
-						t.Fatalf("%s run: %v", engine, err)
-					}
-					diffResults(t, name+"/"+engine, res, ref)
+				rec := obs.NewRecorder()
+				cfg.Engine = sim.EngineBurst
+				cfg.Sink = rec
+				res, err := a.Run(cfg)
+				if err != nil {
+					t.Fatalf("burst run: %v", err)
+				}
+				diffResults(t, name, res, ref)
 
-					if !reflect.DeepEqual(rec.Meta, rRec.Meta) {
-						t.Errorf("sink metadata diverges: %s %+v, reference %+v", engine, rec.Meta, rRec.Meta)
-					}
-					if len(rec.Events) != len(rRec.Events) {
-						t.Fatalf("event counts diverge: %s %d, reference %d", engine, len(rec.Events), len(rRec.Events))
-					}
-					for i := range rec.Events {
-						if rec.Events[i] != rRec.Events[i] {
-							t.Fatalf("event %d diverges:\n  %-9s %+v\n  reference %+v", i, engine, rec.Events[i], rRec.Events[i])
-						}
+				if !reflect.DeepEqual(rec.Meta, rRec.Meta) {
+					t.Errorf("sink metadata diverges: burst %+v, reference %+v", rec.Meta, rRec.Meta)
+				}
+				if len(rec.Events) != len(rRec.Events) {
+					t.Fatalf("event counts diverge: burst %d, reference %d", len(rec.Events), len(rRec.Events))
+				}
+				for i := range rec.Events {
+					if rec.Events[i] != rRec.Events[i] {
+						t.Fatalf("event %d diverges:\n  burst     %+v\n  reference %+v", i, rec.Events[i], rRec.Events[i])
 					}
 				}
 			})

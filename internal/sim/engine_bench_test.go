@@ -20,7 +20,7 @@ func BenchmarkEngines(b *testing.B) {
 		}
 		arts = append(arts, a)
 	}
-	for _, engine := range []string{sim.EngineBurst, sim.EngineThreaded, sim.EngineReference} {
+	for _, engine := range sim.Engines() {
 		b.Run(engine, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, a := range arts {
@@ -37,7 +37,7 @@ func BenchmarkEngines(b *testing.B) {
 
 // BenchmarkEnginesSequential times the 1-core compilations (the speedup
 // baselines and the profiling machines): no queues and no horizon, so the
-// pick granularity is the whole program — the threaded engine's best case.
+// pick granularity is the whole program.
 func BenchmarkEnginesSequential(b *testing.B) {
 	var arts []*core.Artifact
 	for _, k := range kernels.All() {
@@ -47,7 +47,7 @@ func BenchmarkEnginesSequential(b *testing.B) {
 		}
 		arts = append(arts, a)
 	}
-	for _, engine := range []string{sim.EngineBurst, sim.EngineThreaded, sim.EngineReference} {
+	for _, engine := range sim.Engines() {
 		b.Run(engine, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, a := range arts {

@@ -77,11 +77,11 @@ type Config struct {
 	// remains as the oracle the burst engine is validated against.
 	Reference bool
 	// Engine selects the execution engine by name: EngineBurst (the
-	// default), EngineReference (the per-instruction oracle, equivalent to
-	// Reference: true), or EngineThreaded (basic-block threaded code; see
-	// threaded.go). When set it takes precedence over the legacy Reference
-	// flag; an unknown name fails the run. All engines produce bit-identical
-	// Results and event streams.
+	// default) or EngineReference (the per-instruction oracle, equivalent
+	// to Reference: true). EngineThreaded is accepted as an alias of
+	// EngineBurst. When set it takes precedence over the legacy Reference
+	// flag; an unknown name fails validation. Both engines produce
+	// bit-identical Results and event streams.
 	Engine string
 }
 
@@ -89,23 +89,36 @@ type Config struct {
 const (
 	EngineBurst     = "burst"
 	EngineReference = "reference"
-	EngineThreaded  = "threaded"
+	// EngineThreaded is an alias of EngineBurst, resolved in
+	// Config.EngineName. It names a removed engine and stays accepted so
+	// existing requests and scripts keep working.
+	EngineThreaded = "threaded"
 )
 
-// Engines lists the selectable execution engines, default first.
-func Engines() []string { return []string{EngineBurst, EngineReference, EngineThreaded} }
+// Engines lists the selectable execution engines, default first. The
+// EngineThreaded alias is accepted but not listed.
+func Engines() []string { return []string{EngineBurst, EngineReference} }
 
-// EngineName resolves the effective engine: Engine when set, else the
-// legacy Reference flag, else the burst default.
+// EngineName resolves the effective engine: Engine when set (with the
+// EngineThreaded alias mapped to EngineBurst), else the legacy Reference
+// flag, else the burst default. It is the one place the alias resolves.
 func (c *Config) EngineName() string {
-	if c.Engine != "" {
-		return c.Engine
+	switch c.Engine {
+	case "":
+		if c.Reference {
+			return EngineReference
+		}
+		return EngineBurst
+	case EngineThreaded:
+		return EngineBurst
 	}
-	if c.Reference {
-		return EngineReference
-	}
-	return EngineBurst
+	return c.Engine
 }
+
+// PrecompileThreaded is a no-op kept for source compatibility: it used to
+// warm the removed threaded engine's translation cache. The burst engine
+// predecodes per machine and needs no warm-up.
+func PrecompileThreaded(progs []*isa.Program, t cost.Table) {}
 
 // DefaultConfig returns the configuration used by the paper's main
 // experiments: queue length 20, transfer latency 5 cycles.
@@ -202,14 +215,6 @@ type Machine struct {
 	// code holds the predecoded programs the burst engine executes; built
 	// lazily on the first burst-mode Run.
 	code [][]dinstr
-	// Threaded-engine state (threaded.go/tcompile.go): the compiled block
-	// programs, per-core typed register files, and the machine's memory
-	// array bindings; all nil until the first threaded-mode Run.
-	tprogs []*tprog
-	tcores []*tcore
-	tArrF  [][]float64
-	tArrI  [][]int64
-	tBase  []int64
 
 	// Observability state (see internal/obs); all nil/false when no sink is
 	// attached, so the hot paths pay one branch. sink is the effective sink
@@ -320,8 +325,6 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	switch eng := m.cfg.EngineName(); eng {
 	case EngineReference:
 		res, err = m.runReference(ctx)
-	case EngineThreaded:
-		res, err = m.runThreaded(ctx)
 	case EngineBurst:
 		res, err = m.runBurst(ctx)
 	default:
@@ -559,7 +562,7 @@ func (m *Machine) stepExec(c *coreState) error {
 			c.blockAt = c.time
 			return nil
 		}
-		e := q.Pop(c.time)
+		e := q.Pop()
 		if m.cfg.DebugEdges && in.Edge != e.Edge {
 			return fmt.Errorf("queue %s FIFO mismatch: dequeue expects edge %d, head carries edge %d", q, in.Edge, e.Edge)
 		}
@@ -648,7 +651,6 @@ func (m *Machine) result() *Result {
 	r.QueueHighWater = make([]int, len(m.queues))
 	for i, q := range m.queues {
 		if q != nil && q.Used() {
-			q.FoldPeak() // settle any relaxed-order pushes (threaded engine)
 			r.QueuesUsed++
 			r.Transfers += q.Transfers
 			r.QueueHighWater[i] = q.Peak

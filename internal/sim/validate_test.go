@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -85,5 +86,26 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	c.Engine = "nope"
 	if _, err := sim.New(nil, nil, c); !errors.Is(err, sim.ErrBadConfig) {
 		t.Fatalf("New with unknown engine: %v, want ErrBadConfig", err)
+	}
+}
+
+// TestThreadedIsAnAliasOfBurst pins the engine-name contract: "threaded"
+// (the name of a removed engine) still validates and resolves to burst,
+// while Engines() lists only the two real engines.
+func TestThreadedIsAnAliasOfBurst(t *testing.T) {
+	c := sim.DefaultConfig(2)
+	c.Engine = sim.EngineThreaded
+	if err := c.Validate(); err != nil {
+		t.Fatalf("threaded alias rejected: %v", err)
+	}
+	if got := c.EngineName(); got != sim.EngineBurst {
+		t.Errorf("EngineName() = %q, want %q", got, sim.EngineBurst)
+	}
+	c.Reference = true // an explicit Engine wins over the legacy flag
+	if got := c.EngineName(); got != sim.EngineBurst {
+		t.Errorf("EngineName() with Reference set = %q, want %q", got, sim.EngineBurst)
+	}
+	if got, want := sim.Engines(), []string{sim.EngineBurst, sim.EngineReference}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Engines() = %v, want %v", got, want)
 	}
 }
