@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	traceKernel := fs.String("trace-kernel", "sphot-1", "kernel for the attribution experiment")
 	traceCores := fs.String("trace-cores", "1,2,4", "comma-separated core counts for the attribution experiment")
 	traceOut := fs.String("trace-out", "", "write the attribution recording (highest core count) to this file")
-	traceFormat := fs.String("trace-format", "perfetto", "format for -trace-out: "+obs.TraceFormats)
+	traceFormat := fs.String("trace-format", "perfetto", "format for -trace-out: "+strings.Join(obs.TraceFormats(), ", "))
 	msKernels := fs.String("ms-kernels", "umt2k-4,umt2k-2,lammps-2", "comma-separated kernels for the machspace sweep")
 	msTargets := fs.String("ms-targets", "1.5,2,3", "comma-separated inverse-query speedup targets for machspace")
 	searchBudget := fs.Int("search-budget", 48, "per-kernel candidate budget for the search experiment")

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"fgp/internal/core"
 	"fgp/internal/frontend"
@@ -53,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	engine := fs.String("engine", "", "simulation engine: burst (default) or reference (threaded is an alias of burst)")
 	trace := fs.Int("trace", 0, "print the first N simulated instructions as a timeline")
 	traceOut := fs.String("trace-out", "", "record the run's event stream and write it to this file")
-	traceFormat := fs.String("trace-format", "text", "format for -trace-out: "+obs.TraceFormats)
+	traceFormat := fs.String("trace-format", "text", "format for -trace-out: "+strings.Join(obs.TraceFormats(), ", "))
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -87,9 +87,6 @@ type Options struct {
 	// SearchBudget bounds the number of candidate partitions the search
 	// may score (0 = search.DefaultBudget).
 	SearchBudget int
-	// SearchWorkers bounds concurrent candidate scoring (0/1 = serial). It
-	// affects compile time only, never the chosen partition.
-	SearchWorkers int
 }
 
 // Partitioner names accepted by Options.Partitioner ("" means heuristic).
@@ -387,9 +384,8 @@ func searchPartition(ctx context.Context, l *ir.Loop, fn *tac.Fn, info *deps.Inf
 	}
 
 	sr, err := search.Refine(ctx, info, seed, fiberCost, obj, search.Options{
-		Seed:    opt.SearchSeed,
-		Budget:  opt.SearchBudget,
-		Workers: opt.SearchWorkers,
+		Seed:   opt.SearchSeed,
+		Budget: opt.SearchBudget,
 	})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {

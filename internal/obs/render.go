@@ -5,10 +5,22 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 )
 
-// TraceFormats lists the formats RenderTrace accepts, for flag help text.
-const TraceFormats = "text, perfetto, report"
+// TraceFormats lists the formats RenderTrace accepts.
+func TraceFormats() []string { return []string{"text", "perfetto", "report"} }
+
+// ValidateTraceFormat reports whether RenderTrace accepts format, so a
+// caller can reject an unknown name before recording anything.
+func ValidateTraceFormat(format string) error {
+	if slices.Contains(TraceFormats(), format) {
+		return nil
+	}
+	return fmt.Errorf("obs: unknown trace format %q (want one of: %s)",
+		format, strings.Join(TraceFormats(), ", "))
+}
 
 // RenderTrace renders one recorded stream in a named format: "text" (the
 // legacy per-retire line format), "perfetto" (Chrome trace-event JSON,
@@ -36,7 +48,7 @@ func RenderTrace(format string, meta Meta, events []Event) ([]byte, error) {
 	case "report":
 		buf.WriteString(BuildReport(meta, events).Format())
 	default:
-		return nil, fmt.Errorf("obs: unknown trace format %q (want one of: %s)", format, TraceFormats)
+		return nil, ValidateTraceFormat(format)
 	}
 	return buf.Bytes(), nil
 }

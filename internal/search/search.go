@@ -33,9 +33,8 @@
 // Determinism: the proposal sequence depends only on (seed partition,
 // Options.Seed, Options.Budget); every batch's random draws happen before
 // any candidate in the batch is scored, and scored batches are folded in
-// generation order. Workers therefore changes wall-clock only — the best
-// partition and every reported statistic are byte-identical for any worker
-// count, which the seeded-determinism tests pin under -race.
+// generation order, so the best partition and every reported statistic are
+// byte-identical across runs, which the seeded-determinism test pins.
 package search
 
 import (
@@ -44,7 +43,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"fgp/internal/codegraph"
 	"fgp/internal/deps"
@@ -53,7 +51,6 @@ import (
 // Objective scores one candidate partition, returning its simulated cycle
 // count. An error marks the candidate infeasible (verifier rejection, trap,
 // resource bound); the explorer discards it without updating the incumbent.
-// Objectives must be safe for concurrent calls when Options.Workers > 1.
 type Objective func(ctx context.Context, cand *codegraph.Result) (int64, error)
 
 // Options bounds and seeds one Refine run.
@@ -66,9 +63,6 @@ type Options struct {
 	Budget int
 	// Beam is the beam width of the first phase (0 selects DefaultBeam).
 	Beam int
-	// Workers bounds concurrent objective evaluations (<= 1 is serial).
-	// It cannot change the search outcome, only host time.
-	Workers int
 	// Observer, when set, is called for every candidate the explorer
 	// evaluates — seed included, winners and losers alike — with the
 	// candidate's score or its rejection error. Calls happen on the
@@ -474,7 +468,7 @@ func (p *problem) beamPhase(ctx context.Context, seed *state, budget int) error 
 // annealPhase spends the remaining budget on Metropolis-accepted random
 // moves from the incumbent. Proposals for a batch (moves and acceptance
 // uniforms alike) are drawn before any scoring, and batches fold in
-// generation order, so the outcome is independent of Workers.
+// generation order.
 func (p *problem) annealPhase(ctx context.Context) error {
 	rng := rand.New(rand.NewSource(p.opt.Seed))
 	cur := p.best
@@ -571,35 +565,11 @@ func (p *problem) randomMove(rng *rand.Rand, st *state) *state {
 	return p.propose(st, func(a []int32) { a[u], a[v] = a[v], a[u] })
 }
 
-// eval scores candidates with the objective, Workers at a time. Observer
-// callbacks and all bookkeeping happen on the calling goroutine in slice
-// order after every score is in.
+// eval scores candidates with the objective in slice order, then does
+// the bookkeeping and Observer callbacks in the same order.
 func (p *problem) eval(ctx context.Context, cands []*state) error {
-	workers := p.opt.Workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		for _, st := range cands {
-			st.cycles, st.err = p.obj(ctx, st.res)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					cands[i].cycles, cands[i].err = p.obj(ctx, cands[i].res)
-				}
-			}()
-		}
-		for i := range cands {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	for _, st := range cands {
+		st.cycles, st.err = p.obj(ctx, st.res)
 	}
 	for _, st := range cands {
 		p.explored++

@@ -104,7 +104,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.admit(w, r, time.Duration(req.TimeoutMs)*time.Millisecond, func(ctx context.Context) {
+	timeout, ae := s.requestTimeout(req.TimeoutMs)
+	if ae != nil {
+		writeJSON(w, ae.status, ae.body)
+		return
+	}
+	s.admit(w, r, timeout, func(ctx context.Context) {
 		s.met.batches.Add(1)
 		s.runBatch(ctx, w, &req)
 	})
@@ -150,10 +155,29 @@ func (s *Server) runBatch(ctx context.Context, w http.ResponseWriter, req *Batch
 			defer func() { <-sem }()
 			s.met.items.Add(1)
 
+			failLine := func(ae *apiError) {
+				if ae.status == statusClientClosedRequest || ae.status == http.StatusGatewayTimeout {
+					canceled.Add(1)
+				} else {
+					failed.Add(1)
+				}
+				writeLine(BatchItemResult{
+					Index:             i,
+					Status:            ae.status,
+					Error:             ae.body.Error,
+					Diagnostics:       ae.body.Diagnostics,
+					SourceDiagnostics: ae.body.SourceDiagnostics,
+				})
+			}
+			timeout, ae := s.requestTimeout(req.Items[i].TimeoutMs)
+			if ae != nil {
+				failLine(ae)
+				return
+			}
 			ictx := ctx
-			if ms := req.Items[i].TimeoutMs; ms > 0 {
+			if timeout > 0 {
 				var cancel context.CancelFunc
-				ictx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+				ictx, cancel = context.WithTimeout(ctx, timeout)
 				defer cancel()
 			}
 			if err := ictx.Err(); err != nil {
@@ -169,23 +193,12 @@ func (s *Server) runBatch(ctx context.Context, w http.ResponseWriter, req *Batch
 			}
 
 			resp, ae := s.execute(ictx, &req.Items[i])
-			if ae == nil {
-				ok.Add(1)
-				writeLine(BatchItemResult{Index: i, Status: http.StatusOK, Result: resp})
+			if ae != nil {
+				failLine(ae)
 				return
 			}
-			if ae.status == statusClientClosedRequest || ae.status == http.StatusGatewayTimeout {
-				canceled.Add(1)
-			} else {
-				failed.Add(1)
-			}
-			writeLine(BatchItemResult{
-				Index:             i,
-				Status:            ae.status,
-				Error:             ae.body.Error,
-				Diagnostics:       ae.body.Diagnostics,
-				SourceDiagnostics: ae.body.SourceDiagnostics,
-			})
+			ok.Add(1)
+			writeLine(BatchItemResult{Index: i, Status: http.StatusOK, Result: resp})
 		}(i)
 	}
 	wg.Wait()

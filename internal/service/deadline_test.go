@@ -73,3 +73,49 @@ func TestBatchQueuedDeadline(t *testing.T) {
 		t.Error("timed-out batch executed items")
 	}
 }
+
+// TestTimeoutMsValidated: a negative timeout_ms is a 400 on /v1/run, the
+// batch body, a batch item and /v1/frontier, before any compile; a value
+// too large for time.Duration means the full server budget rather than
+// overflowing into an instant deadline.
+func TestTimeoutMsValidated(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	item := RunRequest{Kernel: "umt2k-1", Cores: 2}
+	neg := item
+	neg.TimeoutMs = -5
+
+	if code, eb := postRaw(t, ts, `{"kernel":"umt2k-1","cores":2,"timeout_ms":-5}`); code != http.StatusBadRequest ||
+		!strings.Contains(eb.Error, "timeout_ms") {
+		t.Errorf("/v1/run: status %d (%q), want 400 naming timeout_ms", code, eb.Error)
+	}
+	if code, _, _ := postBatch(t, ts, BatchRequest{Items: []RunRequest{item}, TimeoutMs: -5}); code != http.StatusBadRequest {
+		t.Errorf("/v1/batch body: status %d, want 400", code)
+	}
+	code, items, trailer := postBatch(t, ts, BatchRequest{Items: []RunRequest{neg}})
+	if code != http.StatusOK || trailer == nil || len(items) != 1 {
+		t.Fatalf("/v1/batch: status %d, %d items, trailer %v", code, len(items), trailer)
+	}
+	if it := items[0]; it.Status != http.StatusBadRequest || trailer.Failed != 1 {
+		t.Errorf("/v1/batch item: status %d (%q), trailer %+v, want one failed 400", it.Status, it.Error, trailer)
+	}
+	if code, _, raw := postFrontier(t, ts, `{"kernel":"umt2k-4",`+smallGrid+`,"timeout_ms":-5}`); code != http.StatusBadRequest {
+		t.Errorf("/v1/frontier: status %d (%s), want 400", code, raw)
+	}
+	if c := s.Snapshot().Artifacts.Compiles; c != 0 {
+		t.Errorf("rejected requests cost %d compiles, want 0", c)
+	}
+
+	const huge = 18446744073710 // overflows time.Duration once scaled to ns
+	if code, eb := postRaw(t, ts, `{"kernel":"umt2k-1","cores":2,"timeout_ms":18446744073710}`); code != http.StatusOK {
+		t.Errorf("/v1/run: status %d (%q), want 200", code, eb.Error)
+	}
+	big := item
+	big.TimeoutMs = huge
+	code, items, trailer = postBatch(t, ts, BatchRequest{Items: []RunRequest{big}, TimeoutMs: huge})
+	if code != http.StatusOK || trailer == nil || trailer.OK != 1 {
+		t.Errorf("/v1/batch: status %d, items %+v, trailer %+v, want one ok item", code, items, trailer)
+	}
+	if code, _, raw := postFrontier(t, ts, `{"kernel":"umt2k-4",`+smallGrid+`,"timeout_ms":18446744073710}`); code != http.StatusOK {
+		t.Errorf("/v1/frontier: status %d (%s), want 200", code, raw)
+	}
+}

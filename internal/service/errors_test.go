@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"fgp/internal/ir"
+	"fgp/internal/obs"
 	"fgp/internal/sim"
 	"fgp/internal/verify"
 )
@@ -162,6 +163,44 @@ func TestUnknownEngineReturns400(t *testing.T) {
 	}
 	if c := s.Snapshot().Artifacts.Compiles; c != 0 {
 		t.Errorf("rejected requests cost %d compiles, want 0", c)
+	}
+}
+
+// TestUnknownTraceRejectedBeforeWork: an unknown trace format is a 400
+// naming the accepted formats, on /v1/run and on a batch item, before any
+// compile or simulation — the next valid request for the same kernel
+// still finds the cache empty.
+func TestUnknownTraceRejectedBeforeWork(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	code, eb := postRaw(t, ts, `{"kernel":"sphot-1","cores":3,"trace":"bogus"}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("/v1/run: status %d, want 400 (error %q)", code, eb.Error)
+	}
+	for _, want := range append([]string{"bogus"}, obs.TraceFormats()...) {
+		if !strings.Contains(eb.Error, want) {
+			t.Errorf("/v1/run: error %q does not mention %q", eb.Error, want)
+		}
+	}
+
+	code, items, trailer := postBatch(t, ts, BatchRequest{Items: []RunRequest{
+		{Kernel: "sphot-1", Cores: 3, Trace: "bogus"},
+	}})
+	if code != http.StatusOK || trailer == nil || len(items) != 1 {
+		t.Fatalf("/v1/batch: status %d, %d items, trailer %v", code, len(items), trailer)
+	}
+	if it := items[0]; it.Status != http.StatusBadRequest || !strings.Contains(it.Error, "bogus") {
+		t.Errorf("/v1/batch item: status %d error %q, want 400 naming the format", it.Status, it.Error)
+	}
+	if c := s.Snapshot().Artifacts.Compiles; c != 0 {
+		t.Errorf("rejected requests cost %d compiles, want 0", c)
+	}
+
+	code, resp, msg := postRun(t, ts, RunRequest{Kernel: "sphot-1", Cores: 3})
+	if code != http.StatusOK {
+		t.Fatalf("valid request: status %d (%s)", code, msg)
+	}
+	if resp.CachedArtifact {
+		t.Error("the rejected request left a cached artifact behind")
 	}
 }
 

@@ -24,9 +24,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
-	"fgp/internal/core"
 	"fgp/internal/experiments"
 	"fgp/internal/ir"
 	"fgp/internal/kernels"
@@ -85,17 +83,23 @@ type FrontierMiss struct {
 	Best          *machspace.PointResult `json:"best,omitempty"`
 }
 
-// surfaceAddress content-addresses a swept surface. The grid is
-// normalized before hashing, so two spellings of one sweep — axes listed
-// or defaulted — share an address; the version tag isolates the encoding
+// surfaceKey encodes a sweep's address inputs other than the loop. The
+// grid is normalized before encoding, so two spellings of one sweep — axes
+// listed or defaulted — share a key; the version tag isolates the encoding
 // from future surface-shape changes.
-func surfaceAddress(loopBytes []byte, partitioner string, g machspace.Grid) string {
-	h := sha256.New()
+func surfaceKey(partitioner string, g machspace.Grid) []byte {
 	key, _ := json.Marshal(struct {
 		V           string         `json:"v"`
 		Partitioner string         `json:"partitioner"`
 		Grid        machspace.Grid `json:"grid"`
 	}{"frontier1", partitioner, g}) // fixed struct, cannot fail
+	return key
+}
+
+// surfaceAddress content-addresses a swept surface: sha256 over its
+// surfaceKey and the canonical loop bytes.
+func surfaceAddress(key, loopBytes []byte) string {
+	h := sha256.New()
 	h.Write(key)
 	h.Write([]byte{0})
 	h.Write(loopBytes)
@@ -164,57 +168,51 @@ func (s *Server) handleFrontierPost(w http.ResponseWriter, r *http.Request) {
 	s.serveFrontier(w, r, &req)
 }
 
-// serveFrontier validates the query, then sweeps (or re-reads) the surface
-// under admission control and renders the frontier.
-func (s *Server) serveFrontier(w http.ResponseWriter, r *http.Request, req *FrontierRequest) {
-	loop, ae := s.resolveLoop(req.Kernel, req.IR, req.Source)
-	if ae != nil {
-		writeJSON(w, ae.status, ae.body)
-		return
-	}
-
-	// Everything below rejects before admission: a malformed grid must
-	// cost a 400, not a worker slot.
+// frontierLevers normalizes and bounds a query's grid, target and
+// partitioner. Every rejection happens before admission: a malformed grid
+// must cost a 400, not a worker slot.
+func (s *Server) frontierLevers(req *FrontierRequest) (machspace.Grid, string, *apiError) {
 	grid := machspace.DefaultGrid()
 	if req.Grid != nil {
 		grid = *req.Grid
 	}
 	grid, err := grid.Normalize(s.cfg.MaxCores)
 	if err != nil {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return grid, "", apiErrorf(http.StatusBadRequest, "%s", err.Error())
 	}
 	if n := grid.Size(); n > machspace.DefaultBudget {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest,
+		return grid, "", apiErrorf(http.StatusBadRequest, "%s",
 			(&machspace.BudgetError{Points: n, Budget: machspace.DefaultBudget}).Error())
-		return
 	}
 	if req.TargetSpeedup < 0 {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, "target_speedup must be >= 0")
-		return
+		return grid, "", apiErrorf(http.StatusBadRequest, "target_speedup must be >= 0")
 	}
-	partitioner := req.Partitioner
-	if partitioner == core.PartitionerHeuristic {
-		partitioner = "" // one content address for both spellings of the default
-	}
-	if partitioner != "" && partitioner != core.PartitionerSearch {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("partitioner must be one of %v", core.Partitioners()))
-		return
-	}
+	partitioner, ae := canonicalPartitioner(req.Partitioner)
+	return grid, partitioner, ae
+}
 
-	loopBytes, err := ir.MarshalLoop(loop)
-	if err != nil {
-		s.met.errors.Add(1)
-		httpError(w, http.StatusInternalServerError, "canonicalizing ir: "+err.Error())
+// serveFrontier validates the query, then sweeps (or re-reads) the surface
+// under admission control and renders the frontier.
+func (s *Server) serveFrontier(w http.ResponseWriter, r *http.Request, req *FrontierRequest) {
+	timeout, ae := s.requestTimeout(req.TimeoutMs)
+	if ae != nil {
+		writeJSON(w, ae.status, ae.body)
 		return
 	}
-	addr := surfaceAddress(loopBytes, partitioner, grid)
+	grid, partitioner, leverErr := s.frontierLevers(req)
+	var key []byte
+	if leverErr == nil {
+		key = surfaceKey(partitioner, grid)
+	}
+	addrs, loadLoop, ae := s.resolve(req.Kernel, req.IR, req.Source, memoKey{srf: string(key)}, leverErr,
+		func(loopBytes []byte) memoVal { return memoVal{art: surfaceAddress(key, loopBytes)} })
+	if ae != nil {
+		writeJSON(w, ae.status, ae.body)
+		return
+	}
+	addr := addrs.art
 
-	s.admit(w, r, time.Duration(req.TimeoutMs)*time.Millisecond, func(ctx context.Context) {
+	s.admit(w, r, timeout, func(ctx context.Context) {
 		// The sweep fill runs detached, bounded by the server budget: other
 		// requests may be waiting on the same surface (see execute). swept
 		// records whether this request actually paid for the sweep: a
@@ -225,6 +223,10 @@ func (s *Server) serveFrontier(w http.ResponseWriter, r *http.Request, req *Fron
 		val, hit, err := s.cache.do(ctx, "srf:"+addr, s.tieredFill("srf", addr,
 			func() (any, error) {
 				swept = true
+				loop, err := loadLoop()
+				if err != nil {
+					return nil, err
+				}
 				fctx, cancel := context.WithTimeout(context.Background(), s.cfg.Timeout)
 				defer cancel()
 				// A fresh runner per surface fill: the runner's artifact

@@ -121,7 +121,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
-	s.admit(w, r, time.Duration(req.TimeoutMs)*time.Millisecond, func(ctx context.Context) {
+	timeout, ae := s.requestTimeout(req.TimeoutMs)
+	if ae != nil {
+		writeJSON(w, ae.status, ae.body)
+		return
+	}
+	s.admit(w, r, timeout, func(ctx context.Context) {
 		resp, ae := s.execute(ctx, &req)
 		if ae != nil {
 			writeJSON(w, ae.status, ae.body)
@@ -148,6 +153,21 @@ type apiError struct {
 
 func apiErrorf(status int, format string, args ...any) *apiError {
 	return &apiError{status: status, body: errorBody{Error: fmt.Sprintf(format, args...)}}
+}
+
+// requestTimeout turns a request's timeout_ms into the budget admit
+// tightens to, 0 meaning the full server budget. It compares in
+// milliseconds before converting, so a value past the server budget means
+// that budget instead of overflowing time.Duration.
+func (s *Server) requestTimeout(ms int64) (time.Duration, *apiError) {
+	if ms < 0 {
+		s.met.errors.Add(1)
+		return 0, apiErrorf(http.StatusBadRequest, "timeout_ms must be >= 0")
+	}
+	if ms > s.cfg.Timeout.Milliseconds() {
+		return 0, nil
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // resolveLoop resolves a request's loop selector — exactly one of a
@@ -198,6 +218,134 @@ func (s *Server) resolveLoop(kernel string, irRaw json.RawMessage, source string
 	}
 }
 
+// resolve returns the loop name and content addresses a request's selector
+// resolves to under the address inputs in key, and a function yielding the
+// loop for a fill that must compile. A memo hit skips resolveLoop,
+// ir.MarshalLoop and hashing; its loop is rebuilt only if that function is
+// called. On a miss, address computes the addresses from the canonical
+// loop bytes and a kernel or source selector is memoized. leverErr, a
+// rejection of the request's levers, is returned only once the selector
+// resolved, so a bad selector keeps precedence over a bad lever.
+func (s *Server) resolve(kernel string, irRaw json.RawMessage, source string, key memoKey,
+	leverErr *apiError, address func(loopBytes []byte) memoVal) (memoVal, func() (*ir.Loop, error), *apiError) {
+	key.sel = memoSelector(kernel, len(irRaw), source)
+	if key.sel != "" && leverErr == nil {
+		if v, ok := s.memo.get(key); ok {
+			return v, func() (*ir.Loop, error) { return selectedLoop(kernel, source) }, nil
+		}
+	}
+	loop, ae := s.resolveLoop(kernel, irRaw, source)
+	if ae != nil {
+		return memoVal{}, nil, ae
+	}
+	if leverErr != nil {
+		s.met.errors.Add(1)
+		return memoVal{}, nil, leverErr
+	}
+	loopBytes, err := ir.MarshalLoop(loop)
+	if err != nil {
+		s.met.errors.Add(1)
+		return memoVal{}, nil, apiErrorf(http.StatusInternalServerError, "canonicalizing ir: %v", err)
+	}
+	v := address(loopBytes)
+	v.name = loop.Name
+	if key.sel != "" {
+		s.memo.put(key, v)
+	}
+	return v, func() (*ir.Loop, error) { return loop, nil }, nil
+}
+
+// selectedLoop rebuilds the loop of a memoized kernel or source selector.
+// The selector resolved before, so this cannot fail on input the memo
+// holds.
+func selectedLoop(kernel, source string) (*ir.Loop, error) {
+	if kernel != "" {
+		k, err := kernels.ByName(kernel)
+		if err != nil {
+			return nil, err
+		}
+		return k.Build(), nil
+	}
+	return frontend.ParseWithLimits([]byte(source), sourceLimits)
+}
+
+// canonicalPartitioner maps the partitioner lever to the spelling content
+// addresses use: "" for the default heuristic under either of its names,
+// so both share one address.
+func canonicalPartitioner(p string) (string, *apiError) {
+	switch p {
+	case "", core.PartitionerHeuristic:
+		return "", nil
+	case core.PartitionerSearch:
+		return p, nil
+	}
+	return "", apiErrorf(http.StatusBadRequest, "partitioner must be one of %v", core.Partitioners())
+}
+
+// runLevers resolves and bounds a request's machine and compiler levers to
+// the pipeline key, and checks the engine and trace names, so that every
+// rejection happens before any cache fill.
+func runLevers(req *RunRequest, maxCores int) (pipelineKey, *apiError) {
+	bad := func(msg string) (pipelineKey, *apiError) {
+		return pipelineKey{}, apiErrorf(http.StatusBadRequest, "%s", msg)
+	}
+	cores := req.Cores
+	if cores == 0 {
+		cores = 4
+	}
+	if cores < 1 || cores > maxCores {
+		return bad(fmt.Sprintf("cores must be in [1, %d]", maxCores))
+	}
+	// Resolve the machine levers to their effective values. The pipeline
+	// key stores effective values, so unset, the legacy `queue_len: 0`
+	// spelling, and an explicit paper default all produce one canonical
+	// content address — while `transfer_latency: 0` is its own machine.
+	machineDefaults := sim.DefaultConfig(cores)
+	queueLen := machineDefaults.QueueLen
+	if req.QueueLen != nil {
+		q := *req.QueueLen
+		if q < 0 || q > 1<<12 {
+			return bad("queue_len must be in [1, 4096] (0 = default)")
+		}
+		if q != 0 {
+			queueLen = q
+		}
+	}
+	transferLatency := machineDefaults.TransferLatency
+	if req.TransferLatency != nil {
+		tl := *req.TransferLatency
+		if tl < 0 || tl > 1<<20 {
+			return bad("transfer_latency must be in [0, 1048576]")
+		}
+		transferLatency = tl
+	}
+	if req.NormalizeOps < 0 || req.NormalizeOps > 64 {
+		return bad("normalize_ops must be in [0, 64]")
+	}
+	partitioner, ae := canonicalPartitioner(req.Partitioner)
+	if ae != nil {
+		return pipelineKey{}, ae
+	}
+	engine := sim.Config{Reference: req.Reference, Engine: req.Engine}
+	if err := engine.ValidateEngine(); err != nil {
+		return bad(err.Error())
+	}
+	if req.Trace != "" {
+		if err := obs.ValidateTraceFormat(req.Trace); err != nil {
+			return bad(err.Error())
+		}
+	}
+	return pipelineKey{
+		Cores:           cores,
+		QueueLen:        queueLen,
+		TransferLatency: transferLatency,
+		Speculate:       req.Speculate,
+		NormalizeOps:    req.NormalizeOps,
+		Schedule:        req.Schedule,
+		Partitioner:     partitioner,
+	}, nil
+}
+
 // execute runs one admitted request: resolve the kernel, fetch or fill the
 // cached sequential baseline and artifact (memory tier, then disk store,
 // then a real compile), simulate under the request context, and build the
@@ -219,70 +367,16 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		return nil, apiErrorf(status, "%s", msg)
 	}
 
-	loop, ae := s.resolveLoop(req.Kernel, req.IR, req.Source)
+	pk, leverErr := runLevers(req, s.cfg.MaxCores)
+	addrs, loadLoop, ae := s.resolve(req.Kernel, req.IR, req.Source, memoKey{pk: pk}, leverErr,
+		func(loopBytes []byte) memoVal {
+			return memoVal{
+				seq: contentAddress(loopBytes, pipelineKey{Sequential: true}),
+				art: contentAddress(loopBytes, pk),
+			}
+		})
 	if ae != nil {
 		return nil, ae
-	}
-
-	// Bound the machine parameters.
-	cores := req.Cores
-	if cores == 0 {
-		cores = 4
-	}
-	if cores < 1 || cores > s.cfg.MaxCores {
-		return fail(http.StatusBadRequest, fmt.Sprintf("cores must be in [1, %d]", s.cfg.MaxCores))
-	}
-	// Resolve the machine levers to their effective values. The pipeline
-	// key stores effective values, so unset, the legacy `queue_len: 0`
-	// spelling, and an explicit paper default all produce one canonical
-	// content address — while `transfer_latency: 0` is its own machine.
-	machineDefaults := sim.DefaultConfig(cores)
-	queueLen := machineDefaults.QueueLen
-	if req.QueueLen != nil {
-		q := *req.QueueLen
-		if q < 0 || q > 1<<12 {
-			return fail(http.StatusBadRequest, "queue_len must be in [1, 4096] (0 = default)")
-		}
-		if q != 0 {
-			queueLen = q
-		}
-	}
-	transferLatency := machineDefaults.TransferLatency
-	if req.TransferLatency != nil {
-		tl := *req.TransferLatency
-		if tl < 0 || tl > 1<<20 {
-			return fail(http.StatusBadRequest, "transfer_latency must be in [0, 1048576]")
-		}
-		transferLatency = tl
-	}
-	if req.NormalizeOps < 0 || req.NormalizeOps > 64 {
-		return fail(http.StatusBadRequest, "normalize_ops must be in [0, 64]")
-	}
-	partitioner := req.Partitioner
-	if partitioner == core.PartitionerHeuristic {
-		partitioner = "" // one content address for both spellings of the default
-	}
-	if partitioner != "" && partitioner != core.PartitionerSearch {
-		return fail(http.StatusBadRequest, fmt.Sprintf("partitioner must be one of %v", core.Partitioners()))
-	}
-	engine := sim.Config{Reference: req.Reference, Engine: req.Engine}
-	if err := engine.ValidateEngine(); err != nil {
-		return fail(http.StatusBadRequest, err.Error())
-	}
-
-	loopBytes, err := ir.MarshalLoop(loop)
-	if err != nil {
-		return fail(http.StatusInternalServerError, "canonicalizing ir: "+err.Error())
-	}
-
-	pk := pipelineKey{
-		Cores:           cores,
-		QueueLen:        queueLen,
-		TransferLatency: transferLatency,
-		Speculate:       req.Speculate,
-		NormalizeOps:    req.NormalizeOps,
-		Schedule:        req.Schedule,
-		Partitioner:     partitioner,
 	}
 
 	// Cache fills run on a detached context bounded by the server budget:
@@ -296,9 +390,12 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 	compileStart := time.Now()
 
 	// Sequential baseline, cached per kernel (configuration-independent).
-	seqAddr := contentAddress(loopBytes, pipelineKey{Sequential: true})
-	seqVal, seqHit, err := s.cache.do(ctx, "seq:"+seqAddr, s.tieredFill("seq", seqAddr,
+	seqVal, seqHit, err := s.cache.do(ctx, "seq:"+addrs.seq, s.tieredFill("seq", addrs.seq,
 		func() (any, error) {
+			loop, err := loadLoop()
+			if err != nil {
+				return nil, err
+			}
 			fctx, cancel := fillCtx()
 			defer cancel()
 			a, err := core.CompileSequential(loop)
@@ -322,16 +419,19 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 
 	// The compiled artifact, content-addressed and singleflighted through
 	// the memory tier, with the on-disk store underneath.
-	artAddr := contentAddress(loopBytes, pk)
-	artVal, hit, err := s.cache.do(ctx, "art:"+artAddr, s.tieredFill("art", artAddr,
+	artVal, hit, err := s.cache.do(ctx, "art:"+addrs.art, s.tieredFill("art", addrs.art,
 		func() (any, error) {
+			loop, err := loadLoop()
+			if err != nil {
+				return nil, err
+			}
 			fctx, cancel := fillCtx()
 			defer cancel()
-			opt := core.DefaultOptions(cores)
-			opt.Speculate = req.Speculate
-			opt.NormalizeOps = req.NormalizeOps
-			opt.Schedule = req.Schedule
-			if partitioner == core.PartitionerSearch {
+			opt := core.DefaultOptions(pk.Cores)
+			opt.Speculate = pk.Speculate
+			opt.NormalizeOps = pk.NormalizeOps
+			opt.Schedule = pk.Schedule
+			if pk.Partitioner == core.PartitionerSearch {
 				// Fixed server-side search parameters: the artifact must be a
 				// pure function of its content address, so the seed and budget
 				// are not client levers.
@@ -342,9 +442,9 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 			// Always pin the machine: the effective levers are already
 			// resolved, and a machine at the paper defaults compiles the
 			// identical artifact a nil Machine would.
-			mc := sim.DefaultConfig(cores)
-			mc.QueueLen = queueLen
-			mc.TransferLatency = transferLatency
+			mc := sim.DefaultConfig(pk.Cores)
+			mc.QueueLen = pk.QueueLen
+			mc.TransferLatency = pk.TransferLatency
 			opt.Machine = &mc
 			return core.CompileContext(fctx, loop, opt)
 		},
@@ -376,8 +476,8 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 	simMs := float64(time.Since(simStart)) / float64(time.Millisecond)
 
 	resp = &RunResponse{
-		Kernel:            loop.Name,
-		Cores:             cores,
+		Kernel:            addrs.name,
+		Cores:             pk.Cores,
 		Cycles:            res.Cycles,
 		SeqCycles:         seqCycles,
 		Speedup:           float64(seqCycles) / float64(res.Cycles),
@@ -390,7 +490,7 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		LoadMisses:        res.LoadMisses,
 		MemPortBusyCycles: res.MemPortBusyCycles,
 		CachedArtifact:    hit,
-		ArtifactAddress:   artAddr,
+		ArtifactAddress:   addrs.art,
 		CompileMs:         compileMs,
 		SimMs:             simMs,
 	}

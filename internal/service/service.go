@@ -12,7 +12,9 @@
 //     kernel's canonical JSON encoding plus the pipeline configuration, with
 //     singleflight de-duplication (the pattern of internal/experiments'
 //     Runner), so serving many simulation configurations of one kernel
-//     compiles it once.
+//     compiles it once. A selector memo in front of it (memo.go) remembers
+//     the addresses each kernel name or source text resolved to, so a
+//     repeat request neither rebuilds nor re-encodes its loop.
 //   - Admission control: a bounded worker pool executes requests, a
 //     queue-depth limit sheds load with 429 before work piles up, every
 //     request carries a deadline, and SIGTERM drains gracefully.
@@ -113,6 +115,7 @@ type Server struct {
 	mux *http.ServeMux
 
 	cache *compileCache
+	memo  *selectorMemo       // selector → content addresses, ahead of cache
 	disk  *store.Store        // nil unless Config.StoreDir is set
 	exp   *experiments.Runner // backs /v1/attribution with its own artifact cache
 
@@ -136,6 +139,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		cache: newCompileCache(),
+		memo:  newSelectorMemo(),
 		exp:   experiments.NewRunner(),
 		sem:   make(chan struct{}, cfg.Workers),
 	}
@@ -287,6 +291,14 @@ type Metrics struct {
 		Compiles int64   `json:"compiles"`
 		HitRate  float64 `json:"hit_rate"` // (mem+disk) / all lookups
 	} `json:"artifacts"`
+	// Memo counts requests whose selector and levers were found in the
+	// selector memo (no loop rebuilt, encoded or hashed), and its size.
+	// Memo lookups are not cache lookups: they never move Cache or
+	// Artifacts.
+	Memo struct {
+		Hits    int64 `json:"hits"`
+		Entries int64 `json:"entries"`
+	} `json:"memo"`
 	// Store is the on-disk tier's own counters; absent when no -store-dir.
 	Store   *store.Metrics `json:"store,omitempty"`
 	Latency struct {
@@ -323,6 +335,8 @@ func (s *Server) Snapshot() Metrics {
 	if total := m.Artifacts.MemHits + m.Artifacts.DiskHits + m.Artifacts.Compiles; total > 0 {
 		m.Artifacts.HitRate = float64(m.Artifacts.MemHits+m.Artifacts.DiskHits) / float64(total)
 	}
+	m.Memo.Hits = s.memo.hits.Load()
+	m.Memo.Entries = s.memo.entries()
 	if s.disk != nil {
 		sm := s.disk.Snapshot()
 		m.Store = &sm
